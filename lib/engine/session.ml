@@ -152,9 +152,7 @@ let with_engine_read s f =
       Rss.Pager.with_counters (Engine.pager s.eng) s.counters f)
 
 (* The MVCC read view of the current statement: the active transaction's
-   snapshot, or a fresh statement snapshot. DML-internal victim SELECTs
-   call this after [with_txn] installed the transaction, so they read the
-   writer's own snapshot (and see its uncommitted writes). *)
+   snapshot, or a fresh statement snapshot. *)
 let read_view s =
   let m = Engine.mvcc s.eng in
   let snap =
@@ -393,7 +391,9 @@ let rollback_i s =
    of different transactions is compatible at relation granularity — DDL
    takes it Exclusive) plus an Exclusive tuple lock per delete victim.
    Inserts need no tuple lock: an uncommitted version is invisible to every
-   other transaction, so nothing can conflict with it. *)
+   other transaction, so nothing can conflict with it. Deletes live with
+   the statements below ([delete_victims]): their victims come from an
+   optimized plan. *)
 let dml_insert s txn (rel : Catalog.relation) tuple =
   acquire_rel_lock s txn.txn_id rel Rss.Lock_table.Shared;
   let cat = Engine.catalog s.eng in
@@ -401,45 +401,6 @@ let dml_insert s txn (rel : Catalog.relation) tuple =
   Rss.Wal.append s.eng.Engine.wal
     (Rss.Wal.Insert { txn = txn.txn_id; rel_id = rel.Catalog.rel_id; tid; tuple });
   txn.undo <- Undo_insert (rel, tid, tuple) :: txn.undo
-
-(* Delete every version visible to the transaction's snapshot that
-   satisfies [pred]: lock the victim's tuple Exclusive (waiting out a
-   concurrent writer), then re-read the version. If its xmax is no longer
-   clear — or the slot was reclaimed and reused while we waited — the first
-   committer won and this statement fails with a serialization error
-   rather than silently double-deleting. The surviving victims are stamped
-   xmax = txn and logged; the heap slot and index entries stay for
-   concurrent snapshots (VACUUM reclaims them later). *)
-let dml_delete_where s txn (rel : Catalog.relation) pred =
-  acquire_rel_lock s txn.txn_id rel Rss.Lock_table.Shared;
-  let m = Engine.mvcc s.eng in
-  let v = Rss.Mvcc.view m txn.snap in
-  let victims =
-    List.filter_map
-      (fun (tid, tuple, xmin, xmax) ->
-        if Rss.Mvcc.view_visible v ~xmin ~xmax && pred tuple then
-          Some (tid, tuple)
-        else None)
-      (Catalog.scan_versions rel)
-  in
-  List.iter
-    (fun (tid, tuple) ->
-      acquire_tuple_x s txn.txn_id rel tid;
-      (match Rss.Segment.fetch_unaccounted_v rel.Catalog.segment tid with
-       | Some (rid, tuple', _, 0)
-         when rid = rel.Catalog.rel_id && Rel.Tuple.equal tuple tuple' ->
-         ()
-       | Some _ | None ->
-         err
-           "could not serialize: tuple %d.%d of %s was deleted by a \
-            concurrent transaction"
-           tid.Rss.Tid.page tid.Rss.Tid.slot rel.Catalog.rel_name);
-      Catalog.mark_delete rel tid txn.txn_id;
-      Rss.Wal.append s.eng.Engine.wal
-        (Rss.Wal.Delete { txn = txn.txn_id; rel_id = rel.Catalog.rel_id; tid; tuple });
-      txn.undo <- Undo_delete (rel, tid, tuple) :: txn.undo)
-    victims;
-  victims
 
 (* --- DDL locks ----------------------------------------------------------- *)
 
@@ -491,24 +452,54 @@ let select_star_block s (rel : Catalog.relation) where =
   in
   resolve_query s q
 
-(* DELETE: run SELECT * with the same predicate, then delete every stored
-   tuple value-equal to a result row. The predicate is a deterministic
-   function of the tuple's values, so value equality identifies exactly the
-   qualifying tuples (duplicates qualify together). *)
-let delete_where s txn (rel : Catalog.relation) where =
-  match where with
-  | None -> List.length (dml_delete_where s txn rel (fun _ -> true))
-  | Some _ ->
-    let out = query_block s (select_star_block s rel where) in
-    List.length
-      (dml_delete_where s txn rel (fun tuple ->
-           List.exists (Rel.Tuple.equal tuple) out.Executor.rows))
+(* The victims of a DELETE or UPDATE are the tuples the optimized SELECT *
+   block with the same WHERE qualifies, taken as TIDs from its access path
+   — the paper's "data manipulation retrieval is treated similarly". The
+   block is optimized serially (the TID cursor runs on this domain) and
+   scanned through the transaction's snapshot; the scan is drained before
+   the first victim is touched. Each victim is then locked Exclusive
+   (waiting out a concurrent writer) and re-read: if its xmax is no longer
+   clear — or the slot was reclaimed and reused while we waited — the first
+   committer won and the statement fails with a serialization error rather
+   than silently double-deleting. The surviving victims are stamped
+   xmax = txn and logged; the heap slot and index entries stay for
+   concurrent snapshots (VACUUM reclaims them later). *)
+let delete_victims s txn (rel : Catalog.relation) where =
+  acquire_rel_lock s txn.txn_id rel Rss.Lock_table.Shared;
+  let r =
+    optimize_block ~ctx:{ (ctx s) with Ctx.max_dop = 1 } s
+      (select_star_block s rel where)
+  in
+  let victims =
+    wrap (fun () ->
+        Executor.run_tids
+          ~snap:(Rss.Mvcc.view (Engine.mvcc s.eng) txn.snap)
+          (Engine.catalog s.eng) r)
+  in
+  List.iter
+    (fun (tid, tuple) ->
+      acquire_tuple_x s txn.txn_id rel tid;
+      (match Rss.Segment.fetch_unaccounted_v rel.Catalog.segment tid with
+       | Some (rid, tuple', _, 0)
+         when rid = rel.Catalog.rel_id && Rel.Tuple.equal tuple tuple' ->
+         ()
+       | Some _ | None ->
+         err
+           "could not serialize: tuple %d.%d of %s was deleted by a \
+            concurrent transaction"
+           tid.Rss.Tid.page tid.Rss.Tid.slot rel.Catalog.rel_name);
+      Catalog.mark_delete rel tid txn.txn_id;
+      Rss.Wal.append s.eng.Engine.wal
+        (Rss.Wal.Delete { txn = txn.txn_id; rel_id = rel.Catalog.rel_id; tid; tuple });
+      txn.undo <- Undo_delete (rel, tid, tuple) :: txn.undo)
+    victims;
+  victims
 
-(* UPDATE: resolve the SET expressions against the table, identify the
-   qualifying tuples exactly as DELETE does, then delete each victim and
-   insert its updated image (indexes follow automatically). Victims are
-   collected before any re-insertion, so updated rows cannot requalify
-   (no Halloween problem). *)
+(* UPDATE: resolve the SET expressions against the table, delete the
+   victims exactly as DELETE does, then insert each victim's updated image
+   (indexes follow automatically). Every victim is collected — and
+   delete-marked — before any re-insertion, so updated rows cannot
+   requalify (no Halloween problem). *)
 let update_where s txn (rel : Catalog.relation) sets where =
   let schema = rel.Catalog.schema in
   let set_query =
@@ -554,14 +545,7 @@ let update_where s txn (rel : Catalog.relation) sets where =
     List.iteri (fun i pos -> out.(pos) <- List.nth news i) targets;
     out
   in
-  let victims =
-    match where with
-    | None -> dml_delete_where s txn rel (fun _ -> true)
-    | Some _ ->
-      let out = query_block s (select_star_block s rel where) in
-      dml_delete_where s txn rel (fun tuple ->
-          List.exists (Rel.Tuple.equal tuple) out.Executor.rows)
-  in
+  let victims = delete_victims s txn rel where in
   List.iter
     (fun (_, tuple) -> dml_insert s txn rel (updated_image tuple))
     victims;
@@ -755,7 +739,9 @@ let exec_stmt s (stmt : Ast.statement) =
     (match Catalog.find_relation (Engine.catalog s.eng) table with
      | None -> err "unknown table %s" table
      | Some rel ->
-       let n = with_txn s (fun txn -> delete_where s txn rel where) in
+       let n =
+         with_txn s (fun txn -> List.length (delete_victims s txn rel where))
+       in
        Done (Printf.sprintf "%d row%s deleted" n (if n = 1 then "" else "s")))
   | Ast.Update { table; sets; where } ->
     (match Catalog.find_relation (Engine.catalog s.eng) table with

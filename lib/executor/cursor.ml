@@ -18,6 +18,48 @@ let residual_filter ~compiled env layout preds : Rel.Tuple.t -> bool =
     else fun tuple ->
       List.for_all (Eval.pred env { Eval.layout; tuple }) preds
 
+(* The RSS scan behind a [Scan] node, opened with the factors that compile
+   into search arguments; returns it with the residuals left to apply on
+   the returned tuples. Shared by the tuple cursor and the TID cursor. *)
+let leaf_scan block env ~partition ~snap ~join ~tab ~access ~sargs ~residual =
+  let tr = List.nth block.Semant.tables tab in
+  let rel = tr.Semant.rel in
+  let rel_id = rel.Catalog.rel_id in
+  (* Factors compiled into RSS search arguments; any that fail to compile
+     (a dynamic value unavailable in this context) fall back to residuals. *)
+  let compiled_sargs, fallback =
+    List.fold_left
+      (fun (sarg_acc, resid) p ->
+        match Eval.compile_sarg env join ~tab p with
+        | Some s -> (Rss.Sarg.conjoin sarg_acc s, resid)
+        | None -> (sarg_acc, p :: resid))
+      (Rss.Sarg.always_true, []) sargs
+  in
+  let residual = residual @ List.rev fallback in
+  let scan =
+    match access, partition with
+    | Plan.Seg_scan, None ->
+      Rss.Scan.open_segment_scan rel.Catalog.segment ~rel_id ?snap
+        ~sargs:compiled_sargs ()
+    | Plan.Seg_scan, Some (Parallel.Pages pages) ->
+      Rss.Scan.open_segment_scan rel.Catalog.segment ~rel_id ~pages ?snap
+        ~sargs:compiled_sargs ()
+    | Plan.Idx_scan { index; lo; hi; dir; _ }, None ->
+      let lo = Option.map (Eval.bound_key env join) lo in
+      let hi = Option.map (Eval.bound_key env join) hi in
+      let dir = match dir with Ast.Asc -> `Asc | Ast.Desc -> `Desc in
+      Rss.Scan.open_index_scan rel.Catalog.segment ~rel_id ~index:index.Catalog.btree
+        ?lo ?hi ~dir ?snap ~sargs:compiled_sargs ()
+    | Plan.Idx_scan { index; _ }, Some (Parallel.Key_range (lo, hi)) ->
+      (* the split ranges already absorbed the plan's lo/hi bounds *)
+      Rss.Scan.open_index_scan rel.Catalog.segment ~rel_id ~index:index.Catalog.btree
+        ?lo ?hi ~dir:`Asc ?snap ~sargs:compiled_sargs ()
+    | Plan.Seg_scan, Some (Parallel.Key_range _)
+    | Plan.Idx_scan _, Some (Parallel.Pages _) ->
+      invalid_arg "Cursor: partition kind does not match the access path"
+  in
+  (scan, residual)
+
 (* [partition], when given, restricts the leftmost scan of the plan to one
    slice of a [Plan.Exchange] fan-out; it threads through nested-loop outers
    down to the leaf scan. *)
@@ -56,41 +98,8 @@ let rec open_plan catalog block (env : Eval.env) ?(compiled = true)
 
 and open_scan _catalog block env ~compiled ~partition ~snap ~join ~tab ~access
     ~sargs ~residual =
-  let tr = List.nth block.Semant.tables tab in
-  let rel = tr.Semant.rel in
-  let rel_id = rel.Catalog.rel_id in
-  (* Factors compiled into RSS search arguments; any that fail to compile
-     (a dynamic value unavailable in this context) fall back to residuals. *)
-  let compiled_sargs, fallback =
-    List.fold_left
-      (fun (sarg_acc, resid) p ->
-        match Eval.compile_sarg env join ~tab p with
-        | Some s -> (Rss.Sarg.conjoin sarg_acc s, resid)
-        | None -> (sarg_acc, p :: resid))
-      (Rss.Sarg.always_true, []) sargs
-  in
-  let residual = residual @ List.rev fallback in
-  let scan =
-    match access, partition with
-    | Plan.Seg_scan, None ->
-      Rss.Scan.open_segment_scan rel.Catalog.segment ~rel_id ?snap
-        ~sargs:compiled_sargs ()
-    | Plan.Seg_scan, Some (Parallel.Pages pages) ->
-      Rss.Scan.open_segment_scan rel.Catalog.segment ~rel_id ~pages ?snap
-        ~sargs:compiled_sargs ()
-    | Plan.Idx_scan { index; lo; hi; dir; _ }, None ->
-      let lo = Option.map (Eval.bound_key env join) lo in
-      let hi = Option.map (Eval.bound_key env join) hi in
-      let dir = match dir with Ast.Asc -> `Asc | Ast.Desc -> `Desc in
-      Rss.Scan.open_index_scan rel.Catalog.segment ~rel_id ~index:index.Catalog.btree
-        ?lo ?hi ~dir ?snap ~sargs:compiled_sargs ()
-    | Plan.Idx_scan { index; _ }, Some (Parallel.Key_range (lo, hi)) ->
-      (* the split ranges already absorbed the plan's lo/hi bounds *)
-      Rss.Scan.open_index_scan rel.Catalog.segment ~rel_id ~index:index.Catalog.btree
-        ?lo ?hi ~dir:`Asc ?snap ~sargs:compiled_sargs ()
-    | Plan.Seg_scan, Some (Parallel.Key_range _)
-    | Plan.Idx_scan _, Some (Parallel.Pages _) ->
-      invalid_arg "Cursor: partition kind does not match the access path"
+  let scan, residual =
+    leaf_scan block env ~partition ~snap ~join ~tab ~access ~sargs ~residual
   in
   let self_layout = Layout.of_tables block [ tab ] in
   match join with
@@ -331,3 +340,31 @@ and open_exchange catalog block env ~compiled ~snap ~input ~dop =
               ~join:None input)
       in
       g.Parallel.next
+
+type tid_cursor = unit -> (Rss.Tid.t * Rel.Tuple.t) option
+
+(* The victim scan of a DELETE or UPDATE: the same leaf scan and residuals
+   as the tuple cursor, but the TID the RSS returned travels with each
+   qualifying tuple. A [Filter] (the subquery-bearing factors) sits over
+   the scan; no other node can root a serial single-table block. *)
+let rec open_tids block env ?snap (p : Plan.t) : tid_cursor =
+  let filtered inner layout preds =
+    let keep = residual_filter ~compiled:true env layout preds in
+    let rec pull () =
+      match inner () with
+      | None -> None
+      | Some (_, tuple) as v -> if keep tuple then v else pull ()
+    in
+    pull
+  in
+  match p.Plan.node with
+  | Plan.Scan { tab; access; sargs; residual } ->
+    let scan, residual =
+      leaf_scan block env ~partition:None ~snap ~join:None ~tab ~access ~sargs
+        ~residual
+    in
+    filtered (fun () -> Rss.Scan.next scan) (layout_of block p) residual
+  | Plan.Filter { input; preds } ->
+    filtered (open_tids block env ?snap input) (layout_of block input) preds
+  | Plan.Nl_join _ | Plan.Merge_join _ | Plan.Sort _ | Plan.Exchange _ ->
+    invalid_arg "Cursor.open_tids: not a serial single-table scan"

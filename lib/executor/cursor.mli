@@ -40,6 +40,14 @@ val open_plan :
     an [Exchange] fans out run formation and merges the per-partition runs
     on the calling domain. *)
 
+type tid_cursor = unit -> (Rss.Tid.t * Rel.Tuple.t) option
+
+val open_tids : Semant.block -> Eval.env -> ?snap:Rss.Mvcc.view -> Plan.t -> tid_cursor
+(** The qualifying tuples of a single-table plan — a bare [Scan] or a
+    [Filter] over one — each with the TID its RSS scan returned: the victim
+    stream of DELETE and UPDATE. Always compiled evaluation.
+    @raise Invalid_argument on a join, sort or exchange node. *)
+
 val layout_of : Semant.block -> Plan.t -> Layout.t
 (** Layout of the composite tuples the plan produces. *)
 

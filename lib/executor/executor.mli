@@ -65,3 +65,15 @@ val run_measured :
 (** Execute with the pager counters snapshotted around the run (the buffer
     pool is NOT cleared; callers wanting cold-cache numbers should call
     {!Rss.Pager.evict_all} first). *)
+
+val run_tids :
+  ?snap:Rss.Mvcc.view ->
+  Catalog.t ->
+  Optimizer.result ->
+  (Rss.Tid.t * Rel.Tuple.t) list
+(** Run a serially optimized single-table block — a [Scan], or a [Filter]
+    over one — and return every qualifying stored tuple with its TID, in
+    scan order: the victims of DELETE and UPDATE. The block's select list
+    is ignored; subquery factors evaluate as in {!run}. The scan is
+    drained before returning, so callers may modify the heap afterwards.
+    @raise Invalid_argument on any other plan root. *)

@@ -16,11 +16,13 @@
    or status-table machinery. The model predicts, per statement:
    - SELECT: the exact visible multiset under the session's snapshot
      (the transaction's, or a fresh statement snapshot);
-   - INSERT/DELETE: the row-count tag, or a write-write conflict — a
-     visible victim whose xmax is already stamped by another transaction
+   - INSERT/DELETE/UPDATE: the row-count tag, or a write-write conflict —
+     a visible victim whose xmax is already stamped by another transaction
      is either an immediate lock error (stamper still active) or a
      first-committer-wins serialization error (stamper committed after
-     our snapshot);
+     our snapshot). UPDATE is modelled as DELETE of its victims plus
+     INSERT of their updated images, so it predicts conflicts exactly as
+     DELETE does;
    - VACUUM: the exact number of dead versions reclaimed under the
      horizon rule (CSN offsets between model and engine cancel — only
      relative order matters);
@@ -44,6 +46,8 @@ type op =
   | Rollback
   | Insert of string * V.t list list
   | Delete of string * (string * V.t) option
+  | Update of string * (string * V.t) * (string * V.t) option
+      (** table, [SET column = value], optional equality WHERE *)
   | Select of string * (string * V.t) option
   | Vacuum
 
@@ -82,7 +86,7 @@ let gen_stream rng (s : Fuzz_gen.scenario) =
   let ops = ref [] in
   for _ = 1 to nops do
     let op =
-      match Random.State.int rng 12 with
+      match Random.State.int rng 14 with
       | 0 | 1 when not !in_txn ->
         in_txn := true;
         Begin
@@ -95,6 +99,18 @@ let gen_stream rng (s : Fuzz_gen.scenario) =
       | 6 | 7 | 8 ->
         let t = pick () in
         Insert (t.Fuzz_gen.tname, gen_rows rng t)
+      | 12 | 13 ->
+        let t = pick () in
+        let c =
+          List.nth t.Fuzz_gen.cols
+            (Random.State.int rng (List.length t.Fuzz_gen.cols))
+        in
+        let v =
+          Fuzz_gen.gen_value rng
+            (fun () -> Random.State.int rng c.Fuzz_gen.distinct)
+            c
+        in
+        Update (t.Fuzz_gen.tname, (c.Fuzz_gen.cname, v), gen_pred rng t)
       | 9 when Random.State.int rng 2 = 0 -> Vacuum
       | _ ->
         let t = pick () in
@@ -130,6 +146,8 @@ let op_sql = function
   | Rollback -> "ROLLBACK"
   | Insert (t, rows) -> "INSERT INTO " ^ t ^ " VALUES " ^ rows_sql rows
   | Delete (t, p) -> "DELETE FROM " ^ t ^ pred_sql p
+  | Update (t, (c, v), p) ->
+    "UPDATE " ^ t ^ " SET " ^ c ^ " = " ^ Fuzz_sql.value_to_string v ^ pred_sql p
   | Select (t, p) -> "SELECT * FROM " ^ t ^ pred_sql p
   | Vacuum -> "VACUUM"
 
@@ -208,19 +226,22 @@ let m_visible ~self ~snap v =
   in
   ins_vis && not del_vis
 
+let m_col m tname cname =
+  let cols = Hashtbl.find m.m_schemas tname in
+  let rec idx i = function
+    | [] -> -1
+    | (c : Fuzz_gen.column) :: _ when c.Fuzz_gen.cname = cname -> i
+    | _ :: rest -> idx (i + 1) rest
+  in
+  idx 0 cols
+
 let m_pred m tname pred (v : mver) =
   match pred with
   | None -> true
   | Some (cname, lit) ->
     lit <> V.Null
     &&
-    let cols = Hashtbl.find m.m_schemas tname in
-    let rec idx i = function
-      | [] -> -1
-      | (c : Fuzz_gen.column) :: _ when c.Fuzz_gen.cname = cname -> i
-      | _ :: rest -> idx (i + 1) rest
-    in
-    let value = List.nth v.m_vals (idx 0 cols) in
+    let value = List.nth v.m_vals (m_col m tname cname) in
     value <> V.Null && V.compare value lit = 0
 
 let m_commit m (txn : mtxn) =
@@ -276,6 +297,35 @@ type expected =
 let count_tag n verb =
   Printf.sprintf "%d row%s %s" n (if n = 1 then "" else "s") verb
 
+let m_insert (txn : mtxn) versions rows =
+  let vs =
+    List.map
+      (fun row ->
+        { m_vals = row; m_xmin = txn.mt_id; m_xmin_csn = None; m_xmax = 0;
+          m_xmax_csn = None })
+      rows
+  in
+  versions := !versions @ vs;
+  txn.mt_ins <- vs @ txn.mt_ins
+
+(* Stamp the victims of a DELETE (or the delete half of an UPDATE): the
+   versions visible to [txn] that satisfy [pred]. A visible victim with a
+   stamped xmax is a write-write conflict — stamper active = lock error,
+   stamper committed (necessarily after our snapshot, or it would be
+   invisible) = serialization — reported as [None], with nothing stamped. *)
+let m_delete m (txn : mtxn) tname pred =
+  let victims =
+    List.filter
+      (fun v -> m_visible ~self:txn.mt_id ~snap:txn.mt_snap v && m_pred m tname pred v)
+      !(Hashtbl.find m.m_tables tname)
+  in
+  if List.exists (fun v -> v.m_xmax <> 0) victims then None
+  else begin
+    List.iter (fun v -> v.m_xmax <- txn.mt_id) victims;
+    txn.mt_del <- victims @ txn.mt_del;
+    Some victims
+  end
+
 (* Apply [op] for session [i] to the model and return what the engine must
    do. State changes for a Conflict are NOT applied — the driver reacts by
    rolling back on both sides. *)
@@ -310,38 +360,28 @@ let m_step m (active : mtxn option array) i op : expected =
      | None -> Misuse)
   | Insert (tname, rows) ->
     in_txn (fun txn ~implicit ->
-        let versions = Hashtbl.find m.m_tables tname in
-        let vs =
-          List.map
-            (fun row ->
-              { m_vals = row; m_xmin = txn.mt_id; m_xmin_csn = None;
-                m_xmax = 0; m_xmax_csn = None })
-            rows
-        in
-        versions := !versions @ vs;
-        txn.mt_ins <- vs @ txn.mt_ins;
+        m_insert txn (Hashtbl.find m.m_tables tname) rows;
         if implicit then m_commit m txn;
         Ok_tag (count_tag (List.length rows) "inserted"))
   | Delete (tname, pred) ->
     in_txn (fun txn ~implicit ->
-        let versions = Hashtbl.find m.m_tables tname in
-        let victims =
-          List.filter
-            (fun v ->
-              m_visible ~self:txn.mt_id ~snap:txn.mt_snap v
-              && m_pred m tname pred v)
-            !versions
-        in
-        (* a visible victim with a stamped xmax is a write-write conflict:
-           stamper active = lock error, stamper committed (necessarily
-           after our snapshot, or it would be invisible) = serialization *)
-        if List.exists (fun v -> v.m_xmax <> 0) victims then Conflict
-        else begin
-          List.iter (fun v -> v.m_xmax <- txn.mt_id) victims;
-          txn.mt_del <- victims @ txn.mt_del;
+        match m_delete m txn tname pred with
+        | None -> Conflict
+        | Some victims ->
           if implicit then m_commit m txn;
-          Ok_tag (count_tag (List.length victims) "deleted")
-        end)
+          Ok_tag (count_tag (List.length victims) "deleted"))
+  | Update (tname, (cname, value), pred) ->
+    in_txn (fun txn ~implicit ->
+        match m_delete m txn tname pred with
+        | None -> Conflict
+        | Some victims ->
+          let pos = m_col m tname cname in
+          m_insert txn (Hashtbl.find m.m_tables tname)
+            (List.map
+               (fun v -> List.mapi (fun j x -> if j = pos then value else x) v.m_vals)
+               victims);
+          if implicit then m_commit m txn;
+          Ok_tag (count_tag (List.length victims) "updated"))
   | Select (tname, pred) ->
     let self, snap =
       match active.(i) with

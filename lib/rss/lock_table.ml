@@ -16,14 +16,25 @@ type entry = {
   mutable queue : (txn * mode) list;     (* arrival order, oldest first *)
 }
 
+(* [table] holds only resources somebody holds or waits for: an entry is
+   removed once its holders and queue are both empty. [owned] lists, per
+   transaction, every resource it holds or is queued on, so [release_all]
+   visits those and nothing else — commit cost follows the transaction's
+   own footprint, not the history of the table. *)
 type t = {
   table : (resource, entry) Hashtbl.t;
+  owned : (txn, resource list) Hashtbl.t;
   waits_for : (txn, txn list) Hashtbl.t;  (* waiter -> blockers *)
   mutable last_granted : (txn * resource * mode) list;
 }
 
 let create () =
-  { table = Hashtbl.create 64; waits_for = Hashtbl.create 16; last_granted = [] }
+  { table = Hashtbl.create 64; owned = Hashtbl.create 16;
+    waits_for = Hashtbl.create 16; last_granted = [] }
+
+let own t txn r =
+  Hashtbl.replace t.owned txn
+    (r :: Option.value (Hashtbl.find_opt t.owned txn) ~default:[])
 
 let entry t r =
   match Hashtbl.find_opt t.table r with
@@ -65,6 +76,8 @@ let acquire t txn r mode =
   match List.assoc_opt txn e.holders with
   | Some held when held = mode || (held = Exclusive && mode = Shared) -> Granted
   | held ->
+    (* a txn already holding or queued on [r] has it recorded in [owned] *)
+    let fresh = held = None && not (List.mem_assoc txn e.queue) in
     let want = match held with Some Shared -> Exclusive | _ -> mode in
     let conflicts = conflicting_holders e txn want in
     let queued_ahead =
@@ -72,6 +85,7 @@ let acquire t txn r mode =
     in
     if conflicts = [] && queued_ahead = [] then begin
       grant e txn want;
+      if fresh then own t txn r;
       Granted
     end
     else begin
@@ -86,6 +100,7 @@ let acquire t txn r mode =
       | Some cycle -> Deadlock cycle
       | None ->
         e.queue <- e.queue @ [ (txn, want) ];
+        if fresh then own t txn r;
         Hashtbl.replace t.waits_for txn
           (blockers @ Option.value (Hashtbl.find_opt t.waits_for txn) ~default:[]);
         Blocked blockers
@@ -94,23 +109,31 @@ let acquire t txn r mode =
 let release_all t txn =
   Hashtbl.remove t.waits_for txn;
   t.last_granted <- [];
-  Hashtbl.iter
-    (fun r e ->
-      e.holders <- List.filter (fun (h, _) -> h <> txn) e.holders;
-      e.queue <- List.filter (fun (w, _) -> w <> txn) e.queue;
-      (* Promote queued requests that are now compatible, preserving order. *)
-      let rec promote () =
-        match e.queue with
-        | (w, wm) :: rest when conflicting_holders e w wm = [] ->
-          e.queue <- rest;
-          grant e w wm;
-          Hashtbl.remove t.waits_for w;
-          t.last_granted <- (w, r, wm) :: t.last_granted;
-          promote ()
-        | _ -> ()
-      in
-      promote ())
-    t.table
+  let owned = Option.value (Hashtbl.find_opt t.owned txn) ~default:[] in
+  Hashtbl.remove t.owned txn;
+  (* oldest resource first: queued requests are promoted in the order the
+     releasing transaction took its locks *)
+  List.iter
+    (fun r ->
+      match Hashtbl.find_opt t.table r with
+      | None -> ()
+      | Some e ->
+        e.holders <- List.filter (fun (h, _) -> h <> txn) e.holders;
+        e.queue <- List.filter (fun (w, _) -> w <> txn) e.queue;
+        (* Promote queued requests that are now compatible, preserving order. *)
+        let rec promote () =
+          match e.queue with
+          | (w, wm) :: rest when conflicting_holders e w wm = [] ->
+            e.queue <- rest;
+            grant e w wm;
+            Hashtbl.remove t.waits_for w;
+            t.last_granted <- (w, r, wm) :: t.last_granted;
+            promote ()
+          | _ -> ()
+        in
+        promote ();
+        if e.holders = [] && e.queue = [] then Hashtbl.remove t.table r)
+    (List.rev owned)
 
 let holds t txn r mode =
   match Hashtbl.find_opt t.table r with
@@ -132,3 +155,5 @@ let blocked_txns t =
   |> List.sort_uniq Int.compare
 
 let granted_since t _txn = t.last_granted
+
+let size t = Hashtbl.length t.table

@@ -34,7 +34,9 @@ val acquire : t -> txn -> resource -> mode -> outcome
 
 val release_all : t -> txn -> unit
 (** Release every lock of the transaction (two-phase commit point) and grant
-    any queued requests that became compatible, in arrival order. *)
+    any queued requests that became compatible, in arrival order. Visits
+    only the resources the transaction holds or waits for, and drops every
+    entry left with neither holders nor waiters. *)
 
 val holds : t -> txn -> resource -> mode -> bool
 
@@ -47,3 +49,7 @@ val waiting : t -> resource -> (txn * mode) list
 val granted_since : t -> txn -> (txn * resource * mode) list
 (** Requests of other transactions granted by this transaction's last
     [release_all] (so a test harness can resume them). *)
+
+val size : t -> int
+(** Resources currently held or waited for: the table's entry count, which
+    returns to 0 once every transaction has released. *)

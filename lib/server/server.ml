@@ -45,7 +45,11 @@ type t = {
   m : Mutex.t;
   mutable running : bool;
   mutable conns : Unix.file_descr list;
-  mutable jobs : unit Rss.Domain_pool.job list;
+  mutable handlers : int;
+      (* accepted connections whose handler has not finished: all [stop]
+         waits on, and all a finished connection ever left behind *)
+  handlers_done : Condition.t;  (* broadcast when [handlers] drops to 0 *)
+  handler_failures : int Atomic.t;
   mutable accept_dom : unit Domain.t option;
 }
 
@@ -168,9 +172,11 @@ let dispatch conn msg =
 
 (* One connection, start to finish. Every non-Terminate request is answered
    by a sequence ending in Ready; statement errors keep the connection,
-   protocol errors drop it. The session is closed on EVERY exit path — that
-   is the mid-transaction-disconnect guarantee. *)
-let handle t fd =
+   protocol errors drop it, and any other exception is a handler failure:
+   logged to stderr, counted, and the connection dropped. The session is
+   closed on EVERY exit path — that is the mid-transaction-disconnect
+   guarantee. *)
+let serve t fd =
   let io = Protocol.io_of_fd fd in
   let sess =
     Session.create ~serial_only:true ~counters:(Rss.Counters.create ()) t.eng
@@ -212,13 +218,25 @@ let handle t fd =
      ()
    | Protocol.Malformed e ->
      (try Protocol.send io (Protocol.Err ("protocol error: " ^ e)) with _ -> ())
-   | _ -> ());
+   | e ->
+     Atomic.incr t.handler_failures;
+     Printf.eprintf "systemr server: connection handler failed: %s\n%!"
+       (Printexc.to_string e));
   (try Protocol.flush io with _ -> ());
-  Session.close sess;
-  Mutex.lock t.m;
-  t.conns <- List.filter (fun c -> c != fd) t.conns;
-  Mutex.unlock t.m;
-  (try Unix.close fd with Unix.Unix_error _ -> ())
+  Session.close sess
+
+(* The handler's last act, on every path: forget the connection and wake a
+   [stop] waiting for the last handler. *)
+let handle t fd =
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.lock t.m;
+      t.conns <- List.filter (fun c -> c != fd) t.conns;
+      t.handlers <- t.handlers - 1;
+      if t.handlers = 0 then Condition.broadcast t.handlers_done;
+      Mutex.unlock t.m;
+      try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () -> serve t fd)
 
 (* --- listener ------------------------------------------------------------- *)
 
@@ -232,8 +250,9 @@ let rec accept_loop t =
     end
     else begin
       t.conns <- fd :: t.conns;
-      let job = Rss.Domain_pool.submit (fun () -> handle t fd) in
-      t.jobs <- job :: t.jobs;
+      t.handlers <- t.handlers + 1;
+      (* nothing joins the job: [stop] waits on [handlers] instead *)
+      ignore (Rss.Domain_pool.submit (fun () -> handle t fd));
       Mutex.unlock t.m;
       accept_loop t
     end
@@ -274,13 +293,22 @@ let start ?(workers = 4) ~engine addr =
   Engine.set_latched engine true;
   let t =
     { eng = engine; listen_fd = fd; addr = resolved; m = Mutex.create ();
-      running = true; conns = []; jobs = []; accept_dom = None }
+      running = true; conns = []; handlers = 0;
+      handlers_done = Condition.create ();
+      handler_failures = Atomic.make 0; accept_dom = None }
   in
   t.accept_dom <- Some (Domain.spawn (fun () -> accept_loop t));
   t
 
 let addr t = t.addr
 let engine t = t.eng
+let handler_failures t = Atomic.get t.handler_failures
+
+let handlers t =
+  Mutex.lock t.m;
+  let n = t.handlers in
+  Mutex.unlock t.m;
+  n
 
 (* Closing a listening fd does not wake a thread blocked in accept(2) on
    Linux; dial ourselves instead. The accept loop sees running = false,
@@ -323,10 +351,10 @@ let stop t =
         try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
       conns;
     Mutex.lock t.m;
-    let jobs = t.jobs in
-    t.jobs <- [];
+    while t.handlers > 0 do
+      Condition.wait t.handlers_done t.m
+    done;
     Mutex.unlock t.m;
-    List.iter (fun j -> try Rss.Domain_pool.join j with _ -> ()) jobs;
     (match t.addr with
      | Unix_sock path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
      | Tcp _ -> ());

@@ -8,11 +8,13 @@
     the pool cap if the same process also runs parallel plans.
 
     Starting the server flips the engine into latched mode
-    ({!Engine.set_latched}) for the listener's lifetime: statements
-    serialize on the engine latch, blocked lock requests wait on the engine
-    condvar, SELECTs take shared relation locks. A handler exiting for any
-    reason — disconnect, protocol violation, server stop — closes its
-    session, aborting any in-flight transaction and releasing its locks. *)
+    ({!Engine.set_latched}) for the listener's lifetime: mutating statements
+    hold the engine latch exclusively, read-only statements hold it shared
+    and read their MVCC snapshot without taking any lock, and blocked 2PL
+    requests of writers wait on the engine condvar. A handler exiting for
+    any reason — disconnect, protocol violation, handler failure, server
+    stop — closes its session, aborting any in-flight transaction and
+    releasing its locks. *)
 
 type addr =
   | Unix_sock of string
@@ -36,6 +38,16 @@ val addr : t -> addr
 
 val engine : t -> Engine.t
 
+val handler_failures : t -> int
+(** Connection handlers that ended in an unexpected exception (anything
+    but a statement error, a disconnect or a protocol violation). Each one
+    is also logged to stderr with [Printexc.to_string]. *)
+
+val handlers : t -> int
+(** Accepted connections whose handler has not finished yet. A finished
+    connection leaves no trace in the server. *)
+
 val stop : t -> unit
 (** Close the listener, disconnect every client (their sessions roll back
-    and release locks), join all handlers, unlatch the engine. Idempotent. *)
+    and release locks), wait for every handler to finish, unlatch the
+    engine. Idempotent. *)

@@ -316,6 +316,166 @@ let test_update_statement () =
    | _ -> Alcotest.fail "type mismatch accepted"
    | exception Database.Error _ -> ())
 
+(* --- DML victims by TID ------------------------------------------------ *)
+
+let done_tag db sql =
+  match Database.exec db sql with
+  | Database.Done msg -> msg
+  | _ -> Alcotest.failf "expected a command tag from %s" sql
+
+let single_table_root db sql =
+  (Database.optimize db sql).Optimizer.plan.Plan.node
+
+(* Victims are the scan's TIDs, so two stored tuples with equal values are
+   two victims — each is deleted (or updated) once, never matched twice and
+   never skipped. *)
+let test_identical_rows_both_qualify () =
+  let db = Database.create () in
+  ignore
+    (Database.exec_script db
+       "CREATE TABLE D (A INT, B STRING);\n\
+        CREATE TABLE U (A INT, B STRING);\n\
+        INSERT INTO D VALUES (1, 'x'), (1, 'x'), (2, 'y');\n\
+        INSERT INTO U VALUES (1, 'x'), (1, 'x'), (2, 'y');");
+  Alcotest.(check string) "DELETE counts both copies" "2 rows deleted"
+    (done_tag db "DELETE FROM D WHERE A = 1");
+  (match rows (Database.query db "SELECT A, B FROM D") with
+   | [ [| V.Int 2; V.Str "y" |] ] -> ()
+   | _ -> Alcotest.fail "DELETE left the wrong rows");
+  Alcotest.(check string) "UPDATE counts both copies" "2 rows updated"
+    (done_tag db "UPDATE U SET B = 'z' WHERE A = 1");
+  (match rows (Database.query db "SELECT COUNT(*) FROM U WHERE B = 'z'") with
+   | [ [| V.Int 2 |] ] -> ()
+   | _ -> Alcotest.fail "UPDATE did not change both copies");
+  (match rows (Database.query db "SELECT COUNT(*) FROM U") with
+   | [ [| V.Int 3 |] ] -> ()
+   | _ -> Alcotest.fail "UPDATE changed the row count");
+  Alcotest.(check int) "every lock released" 0
+    (Rss.Lock_table.size (Database.lock_table db))
+
+(* A WHERE factor with a subquery over the DELETE's own table lands in a
+   Filter above the scan. The subquery reads the statement's snapshot and
+   the victim scan drains before any victim is marked, so DELETE removes
+   exactly the rows the same SELECT returns. *)
+let test_delete_in_subquery_same_table () =
+  let db = Database.create () in
+  ignore
+    (Database.exec_script db
+       "CREATE TABLE T (A INT, B INT);\n\
+        CREATE INDEX T_A ON T (A);\n\
+        INSERT INTO T VALUES (1, 10), (2, 25), (3, 5), (4, 40), (5, 25), (6, 1);\n\
+        UPDATE STATISTICS;");
+  let where = "WHERE A IN (SELECT A FROM T WHERE B > 20) OR B = 1" in
+  (match single_table_root db ("SELECT * FROM T " ^ where) with
+   | Plan.Filter _ -> ()
+   | _ -> Alcotest.fail "expected a Filter root over the victim scan");
+  let all () = List.sort compare (rows (Database.query db "SELECT A, B FROM T")) in
+  let qualifying =
+    List.sort compare (rows (Database.query db ("SELECT A, B FROM T " ^ where)))
+  in
+  let expected = List.filter (fun r -> not (List.mem r qualifying)) (all ()) in
+  Alcotest.(check string) "victim count" "4 rows deleted"
+    (done_tag db ("DELETE FROM T " ^ where));
+  Alcotest.(check bool) "survivors are the non-qualifying rows" true
+    (all () = expected);
+  (* a scalar subquery comparing against the table's own aggregate *)
+  Alcotest.(check string) "scalar subquery victims" "1 row deleted"
+    (done_tag db "DELETE FROM T WHERE B < (SELECT AVG(B) FROM T)");
+  (match rows (Database.query db "SELECT A FROM T") with
+   | [ [| V.Int 1 |] ] -> ()
+   | _ -> Alcotest.fail "scalar-subquery DELETE left the wrong rows");
+  match Database.check_integrity db with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "integrity: %s" msg
+
+(* UPDATE of the indexed key through an index scan on that key: every
+   updated image lands ahead of the scan position, so a victim stream that
+   was not drained first would meet them again (the Halloween problem). *)
+let test_update_indexed_key_halloween () =
+  let db = Database.create () in
+  ignore
+    (Database.exec_script db
+       "CREATE TABLE H (K INT, V INT);\n\
+        CREATE CLUSTERED INDEX H_K ON H (K);");
+  ignore
+    (Database.exec db
+       ("INSERT INTO H VALUES "
+       ^ String.concat ", " (List.init 200 (fun k -> Printf.sprintf "(%d, %d)" k k))));
+  Database.update_statistics db;
+  (match single_table_root db "SELECT * FROM H WHERE K >= 150" with
+   | Plan.Scan { access = Plan.Idx_scan _; _ } -> ()
+   | _ -> Alcotest.fail "expected an index scan on the updated key");
+  Alcotest.(check string) "each victim updated once" "50 rows updated"
+    (done_tag db "UPDATE H SET K = K + 1000 WHERE K >= 150");
+  let keys =
+    List.map
+      (fun r -> match r with [| V.Int k |] -> k | _ -> Alcotest.fail "key")
+      (rows (Database.query db "SELECT K FROM H WHERE K >= 150"))
+  in
+  Alcotest.(check (list int)) "new keys, each once"
+    (List.init 50 (fun i -> 1150 + i))
+    (List.sort compare keys);
+  match Database.check_integrity db with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "integrity: %s" msg
+
+(* A keyed table of [n] rows with a clustered index on K, analyzed. *)
+let keyed_db n =
+  let db = Database.create () in
+  ignore
+    (Database.exec_script db
+       "CREATE TABLE P (K INT, V STRING);\n\
+        CREATE CLUSTERED INDEX P_K ON P (K);");
+  let chunk = 1000 in
+  for c = 0 to ((n - 1) / chunk) do
+    let lo = c * chunk in
+    let hi = min n (lo + chunk) in
+    ignore
+      (Database.exec db
+         ("INSERT INTO P VALUES "
+         ^ String.concat ", "
+             (List.init (hi - lo) (fun i -> Printf.sprintf "(%d, 'v%d')" (lo + i) (lo + i)))))
+  done;
+  Database.update_statistics db;
+  db
+
+let delete_cost ?(cold = false) db sql =
+  let pager = Database.pager db in
+  if cold then Rss.Pager.evict_all pager;
+  let c = Rss.Pager.counters pager in
+  let before = Rss.Counters.snapshot c in
+  Alcotest.(check string) sql "1 row deleted" (done_tag db sql);
+  Rss.Counters.diff ~after:(Rss.Counters.snapshot c) ~before
+
+let p_index_height db =
+  match Catalog.find_index (Database.catalog db) "P_K" with
+  | Some idx -> Rss.Btree.height idx.Catalog.btree
+  | None -> Alcotest.fail "P_K missing"
+
+(* A point DELETE reads the index path and the victim's data page and
+   nothing else: the paper's B-tree height + 1 page fetches from a cold
+   pool. *)
+let test_point_delete_cold_fetches () =
+  let db = keyed_db 5000 in
+  let height = p_index_height db in
+  let d = delete_cost ~cold:true db "DELETE FROM P WHERE K = 2345" in
+  if d.Rss.Counters.page_fetches > height + 1 || d.Rss.Counters.page_fetches < 1
+  then
+    Alcotest.failf "point DELETE fetched %d pages, B-tree height %d + 1"
+      d.Rss.Counters.page_fetches height;
+  Alcotest.(check int) "one RSI call" 1 d.Rss.Counters.rsi_calls
+
+(* A statement's cost depends on the data it touches, not on the table's
+   size: the same point DELETE makes the same RSI calls against 1k and 20k
+   rows. *)
+let test_point_delete_rsi_size_independent () =
+  let rsi n =
+    (delete_cost (keyed_db n) "DELETE FROM P WHERE K = 777").Rss.Counters.rsi_calls
+  in
+  let small = rsi 1_000 and large = rsi 20_000 in
+  Alcotest.(check int) "RSI calls on 1k = on 20k" small large;
+  Alcotest.(check int) "one RSI call" 1 large
+
 (* --- prepared statements ------------------------------------------------ *)
 
 let test_prepared_statements () =
@@ -629,6 +789,17 @@ let () =
       ( "dml",
         [ Alcotest.test_case "UPDATE statement" `Quick test_update_statement;
           Alcotest.test_case "DROP statements" `Quick test_drop_statements ] );
+      ( "dml by tid",
+        [ Alcotest.test_case "identical rows both qualify" `Quick
+            test_identical_rows_both_qualify;
+          Alcotest.test_case "DELETE with IN-subquery on its own table" `Quick
+            test_delete_in_subquery_same_table;
+          Alcotest.test_case "UPDATE of the indexed key is Halloween-safe" `Quick
+            test_update_indexed_key_halloween;
+          Alcotest.test_case "cold point DELETE fetches height + 1 pages" `Quick
+            test_point_delete_cold_fetches;
+          Alcotest.test_case "point DELETE RSI calls independent of size" `Quick
+            test_point_delete_rsi_size_independent ] );
       ( "prepared",
         [ Alcotest.test_case "prepared statements" `Quick test_prepared_statements ] );
       ( "transactions",

@@ -185,6 +185,36 @@ let test_deadlock_three_txns_mixed_resources () =
        [ 1; 2; 3 ]
    | _ -> Alcotest.fail "expected a three-transaction deadlock")
 
+(* The table holds live locks only: transactions that each lock their
+   relation and distinct tuples, committed one after another, leave no
+   entry behind — and neither do promoted waiters or a request refused as
+   a deadlock. *)
+let test_table_returns_to_empty () =
+  let lt = L.create () in
+  for tx = 1 to 200 do
+    ignore (L.acquire lt tx (rel 0) L.Shared);
+    for slot = 0 to 4 do
+      ignore (L.acquire lt tx (L.Tuple_of (0, { Rss.Tid.page = tx; slot })) L.Exclusive)
+    done;
+    Alcotest.(check int) "own locks while open" 6 (L.size lt);
+    L.release_all lt tx
+  done;
+  Alcotest.(check int) "empty after 200 commits" 0 (L.size lt);
+  ignore (L.acquire lt 1 (rel 0) L.Exclusive);
+  ignore (L.acquire lt 2 (rel 0) L.Shared);
+  ignore (L.acquire lt 3 (rel 1) L.Exclusive);
+  ignore (L.acquire lt 3 (rel 0) L.Shared);
+  (match L.acquire lt 1 (rel 1) L.Exclusive with
+   | L.Deadlock _ -> ()
+   | _ -> Alcotest.fail "t1 -> t3 -> t1 must be refused");
+  Alcotest.(check int) "two resources in use" 2 (L.size lt);
+  L.release_all lt 1;
+  Alcotest.(check bool) "waiters promoted" true
+    (L.holds lt 2 (rel 0) L.Shared && L.holds lt 3 (rel 0) L.Shared);
+  L.release_all lt 2;
+  L.release_all lt 3;
+  Alcotest.(check int) "empty once every holder released" 0 (L.size lt)
+
 (* --- WAL ------------------------------------------------------------------ *)
 
 let tid p s = { Rss.Tid.page = p; slot = s }
@@ -469,7 +499,9 @@ let () =
           Alcotest.test_case "release grants in arrival order" `Quick
             test_release_grant_arrival_order;
           Alcotest.test_case "3-txn deadlock, mixed granularity" `Quick
-            test_deadlock_three_txns_mixed_resources ] );
+            test_deadlock_three_txns_mixed_resources;
+          Alcotest.test_case "table returns to empty" `Quick
+            test_table_returns_to_empty ] );
       ( "wal",
         [ Alcotest.test_case "roundtrip" `Quick test_wal_roundtrip;
           Alcotest.test_case "torn tail" `Quick test_wal_torn_tail_ignored;

@@ -623,6 +623,66 @@ let test_leader_failure_does_not_strand_followers () =
         (rows_ms r);
       Client.close c)
 
+(* --- handler failures and handler bookkeeping ------------------------------ *)
+
+exception Handler_bug
+
+(* An exception no handler path expects — here a per-commit WAL sync that
+   raises something other than a flush error — ends the connection, but not
+   silently: it is logged and counted, and the session still closes, so the
+   transaction that was mid-COMMIT rolls back and its locks are released. *)
+let test_handler_failure_logged_and_counted () =
+  with_server ~seed:"CREATE TABLE t (a INT); INSERT INTO t VALUES (1);"
+    (fun db srv ->
+      let wal = Database.wal db in
+      let a = connect srv in
+      ignore (Client.ok (Client.simple a "SET GROUP_COMMIT OFF"));
+      ignore (Client.ok (Client.simple a "BEGIN"));
+      ignore (Client.ok (Client.simple a "DELETE FROM t WHERE a = 1"));
+      Alcotest.(check bool) "a holds locks" true
+        (Rss.Lock_table.size (Database.lock_table db) > 0);
+      Rss.Wal.set_flush_hook wal (Some (fun () -> raise Handler_bug));
+      (match Client.simple a "COMMIT" with
+       | _ -> Alcotest.fail "the failed handler must not reply"
+       | exception Client.Disconnected -> ());
+      Rss.Wal.set_flush_hook wal None;
+      Client.abandon a;
+      wait_until "the failed handler to finish" (fun () -> Server.handlers srv = 0);
+      Alcotest.(check int) "failure counted" 1 (Server.handler_failures srv);
+      Alcotest.(check int) "every lock released" 0
+        (Rss.Lock_table.size (Database.lock_table db));
+      let b = connect srv in
+      ignore (Client.ok (Client.simple b "SET GROUP_COMMIT ON"));
+      Alcotest.(check string) "a's delete rolled back" "1 row deleted"
+        (Client.ok (Client.simple b "DELETE FROM t WHERE a = 1")).Client.tag;
+      Client.close b;
+      Alcotest.(check int) "orderly connections are not failures" 1
+        (Server.handler_failures srv))
+
+(* A finished connection leaves nothing behind: each of many connections,
+   closed in order or dropped, is forgotten once its handler ends, and
+   the server keeps serving (stop then waits on live handlers only). *)
+let test_finished_connections_leave_no_trace () =
+  with_server ~seed:"CREATE TABLE t (a INT);" (fun db srv ->
+      let embedded_sessions = (Database.engine db).Engine.live_sessions in
+      for i = 1 to 60 do
+        let c = connect srv in
+        ignore
+          (Client.ok (Client.simple c (Printf.sprintf "INSERT INTO t VALUES (%d)" i)));
+        if i mod 2 = 0 then Client.close c else Client.abandon c;
+        wait_until "the closed connection's handler to finish" (fun () ->
+            Server.handlers srv = 0)
+      done;
+      Alcotest.(check int) "no failures" 0 (Server.handler_failures srv);
+      Alcotest.(check int) "every connection's session closed"
+        embedded_sessions (Database.engine db).Engine.live_sessions;
+      let c = connect srv in
+      Alcotest.(check bool) "one live handler" true (Server.handlers srv <= 1);
+      let r = Client.ok (Client.simple c "SELECT COUNT(*) FROM t") in
+      Alcotest.check msv "every insert landed" (multiset [ [| V.Int 60 |] ])
+        (rows_ms r);
+      Client.close c)
+
 (* --- prepared-statement invalidation across sessions ----------------------- *)
 
 let test_prepared_invalidation_cross_session () =
@@ -820,4 +880,9 @@ let () =
             test_session_counters_fold ] );
       ( "differential",
         [ Alcotest.test_case "N concurrent sessions = serial embedded" `Quick
-            test_multi_session_differential ] ) ]
+            test_multi_session_differential ] );
+      ( "handlers",
+        [ Alcotest.test_case "handler failure is logged, counted, rolled back"
+            `Quick test_handler_failure_logged_and_counted;
+          Alcotest.test_case "finished connections leave no trace" `Quick
+            test_finished_connections_leave_no_trace ] ) ]
